@@ -237,8 +237,11 @@ def main() -> None:
           f"sessions in {summary['elapsed_seconds']:.2f}s "
           f"= {summary['decisions_per_sec']:.1f} decisions/sec")
     print(f"sources: {summary['sources']}")
-    print(f"latency ms: p50={latency['p50']:.2f} p95={latency['p95']:.2f} "
+    print(f"client round trip ms: p50={latency['p50']:.2f} p95={latency['p95']:.2f} "
           f"p99={latency['p99']:.2f} (n={latency['count']})")
+    server = summary["server_latency_ms"]
+    print(f"server-reported broker ms: p50={server['p50']:.2f} "
+          f"p95={server['p95']:.2f} p99={server['p99']:.2f}")
     if "learning" in summary:
         learning = summary["learning"]
         print(f"learning: policy v{learning['policy_version']}, "

@@ -23,7 +23,8 @@ dispatch stays bit-identical to single-server serial dispatch at fixed seeds
 
 Layers (see ``docs/ARCHITECTURE.md``, "Serving layer"):
 
-* :mod:`~repro.service.protocol` — the wire format (observation snapshots in,
+* :mod:`~repro.service.protocol` — the wire format (observation snapshots in
+  — full, or protocol-4 deltas against what the connection already sent —
   actions out);
 * :mod:`~repro.service.session`  — per-cluster shadow job DAGs + policy state;
 * :mod:`~repro.service.batcher`  — cross-session batching, the adaptive batch
@@ -51,7 +52,9 @@ from .config import ServingConfig, build_server
 from .fleet import ServingFleet
 from .loadgen import run_load
 from .protocol import (
+    MAX_FRAME_BYTES,
     ProtocolError,
+    WireState,
     encode_message,
     encode_observation,
     read_message,
@@ -73,7 +76,9 @@ __all__ = [
     "decode_action",
     "drive_episode",
     "run_load",
+    "MAX_FRAME_BYTES",
     "ProtocolError",
+    "WireState",
     "ServingConfig",
     "ServingFleet",
     "build_server",

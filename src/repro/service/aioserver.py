@@ -28,7 +28,7 @@ from typing import Optional
 
 from ..core.agent import DecimaAgent
 from .batcher import DecisionResult
-from .protocol import ProtocolError, decode_frame, encode_message
+from .protocol import MAX_FRAME_BYTES, ProtocolError, decode_frame, encode_message, read_frame
 from .server import ServerCore
 from .session import SessionState
 
@@ -85,7 +85,7 @@ class AsyncPolicyServer(ServerCore):
     async def _start_serving(self) -> tuple:
         self._queue = asyncio.Queue()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=MAX_FRAME_BYTES
         )
         self._dispatch_task = asyncio.get_event_loop().create_task(self._dispatch_loop())
         return self._server.sockets[0].getsockname()[:2]
@@ -138,18 +138,15 @@ class AsyncPolicyServer(ServerCore):
         try:
             while True:
                 try:
-                    line = await reader.readline()
-                except (OSError, ValueError, asyncio.IncompleteReadError):
-                    return
-                if not line:
-                    return
-                try:
+                    line = await read_frame(reader)
+                    if not line:
+                        return
                     message = decode_frame(line)
                 except ProtocolError as error:
-                    await self._write(
-                        writer, {"type": "error", "message": str(error)}
-                    )
+                    await self._write(writer, self.error_reply(error))
                     continue
+                except (OSError, ValueError):
+                    return
                 kind = message["type"]
                 try:
                     if kind == "hello":
@@ -184,7 +181,7 @@ class AsyncPolicyServer(ServerCore):
                              "message": f"unknown request type {kind!r}"},
                         )
                 except ProtocolError as error:
-                    await self._write(writer, {"type": "error", "message": str(error)})
+                    await self._write(writer, self.error_reply(error))
                 except (KeyError, TypeError, ValueError) as error:
                     # Malformed payload: answer with an error frame and keep
                     # the connection usable, as the protocol contract promises.
@@ -195,6 +192,8 @@ class AsyncPolicyServer(ServerCore):
                     )
                 except (ConnectionError, OSError):
                     return
+        except (ConnectionError, OSError):
+            return  # the client vanished while we answered a bad frame
         finally:
             try:
                 writer.close()

@@ -17,6 +17,7 @@ the CI smoke test both drive this loop.
 from __future__ import annotations
 
 import socket
+import time
 from typing import Iterable, Optional
 
 from ..obs import Span
@@ -25,6 +26,7 @@ from ..simulator.jobdag import JobDAG
 from .protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
+    WireState,
     encode_observation,
     read_message,
     write_message,
@@ -88,6 +90,14 @@ class PolicyClient(_LineClient):
         # protocol-1 server, which never sends either field).
         self.protocol: Optional[int] = None
         self.policy_version: Optional[int] = None
+        # Protocol 4: what this connection already sent per job, so decide
+        # frames carry only what changed.  Cleared on every hello.
+        self._wire = WireState()
+        # Full-snapshot resends the server asked for (resync_required).
+        self.num_resyncs = 0
+        # Client-timed round trip of the last decide: from before encoding
+        # the observation to the decoded reply.
+        self.last_round_trip_ms: Optional[float] = None
 
     # ------------------------------------------------------------------- API
     def hello(
@@ -108,6 +118,7 @@ class PolicyClient(_LineClient):
             payload["num_executors"] = int(num_executors)
         if fallback is not None:
             payload["fallback"] = fallback
+        self._wire.reset()
         reply = self.request(payload)
         self.session_id = reply["session_id"]
         self.protocol = reply.get("protocol")
@@ -130,11 +141,19 @@ class PolicyClient(_LineClient):
         it via :meth:`ControlClient.trace` (fleet) or a data-plane ``trace``
         request.  Tracing costs one extra round-trip per decision; leave it
         off on the hot path and sample instead.
+
+        Against a protocol-4 server the observation goes out as a delta
+        against what this connection already sent.  A ``resync_required``
+        error is answered by resending one full snapshot (counted in
+        :attr:`num_resyncs`); any other failure clears the connection state,
+        so the next decide resends every job in full.
         """
+        start = time.perf_counter()
+        wire = self._wire if (self.protocol or 0) >= 4 else None
         payload = {
             "type": "decide",
             "session_id": self.session_id,
-            "observation": encode_observation(observation),
+            "observation": encode_observation(observation, wire),
         }
         if request_id is not None:
             payload["request_id"] = int(request_id)
@@ -146,7 +165,13 @@ class PolicyClient(_LineClient):
                 tags={"session_id": self.session_id},
             )
             payload["trace"] = span.context()
-        reply = self.request(payload)
+        try:
+            reply = self._send_decide(payload, observation, wire)
+        except BaseException:
+            # The server may not have applied the frame: start over in full.
+            self._wire.reset()
+            raise
+        self.last_round_trip_ms = (time.perf_counter() - start) * 1000.0
         if "policy_version" in reply:
             self.policy_version = reply["policy_version"]
         if span is not None:
@@ -162,6 +187,20 @@ class PolicyClient(_LineClient):
             reply = dict(reply)
             reply["trace_id"] = span.trace_id
         return reply
+
+    def _send_decide(
+        self, payload: dict, observation: Observation, wire: Optional[WireState]
+    ) -> dict:
+        try:
+            return self.request(payload)
+        except ProtocolError as error:
+            if wire is None or error.code != "resync_required":
+                raise
+        # The session holds less than this connection sent: resend in full.
+        wire.reset()
+        self.num_resyncs += 1
+        payload["observation"] = encode_observation(observation, wire)
+        return self.request(payload)
 
     def stats(self) -> dict:
         return self.request({"type": "stats"})
@@ -248,8 +287,10 @@ def drive_episode(
 ) -> dict:
     """Run one full episode with every decision served remotely.
 
-    Returns a summary: decision counts by source, per-request latencies (as
-    measured by the *server*), and the episode's scheduling outcome.
+    Returns a summary: decision counts by source, per-request round trips
+    as timed by this client (``round_trips_ms``) next to the broker latency
+    the server reports (``latencies_ms``), and the episode's scheduling
+    outcome.
 
     ``trace_every=N`` traces every Nth decision end-to-end (see
     :meth:`PolicyClient.decide`); the minted trace ids come back under
@@ -260,6 +301,7 @@ def drive_episode(
     decisions = 0
     sources: dict[str, int] = {}
     latencies_ms: list[float] = []
+    round_trips_ms: list[float] = []
     trace_ids: list[str] = []
     done = False
     while not done:
@@ -270,6 +312,7 @@ def drive_episode(
         action = decode_action(reply, observation)
         sources[reply["source"]] = sources.get(reply["source"], 0) + 1
         latencies_ms.append(float(reply["latency_ms"]))
+        round_trips_ms.append(client.last_round_trip_ms)
         if traced and "trace_id" in reply:
             trace_ids.append(reply["trace_id"])
         observation, _, done = environment.step(action)
@@ -279,6 +322,7 @@ def drive_episode(
         "decisions": decisions,
         "sources": sources,
         "latencies_ms": latencies_ms,
+        "round_trips_ms": round_trips_ms,
         "finished_jobs": len(result.finished_jobs),
         "unfinished_jobs": len(result.unfinished_jobs),
         "wall_time": result.wall_time,

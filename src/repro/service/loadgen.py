@@ -7,8 +7,10 @@ the requested number of decisions, so the server sees sustained concurrent
 traffic (and its broker real cross-session batches) rather than one burst.
 
 The returned summary is JSON-ready: fleet decisions/sec, the decision-source
-breakdown (policy vs SLO fallback), and the shared p50/p95/p99 latency
-histogram (:func:`repro.simulator.metrics.latency_histogram`).
+breakdown (policy vs SLO fallback), and p50/p95/p99 latency histograms
+(:func:`repro.simulator.metrics.latency_histogram`): ``latency_ms`` of the
+round trips the clients timed themselves — what a cluster's scheduler waits
+for — and ``server_latency_ms`` of the broker latency the server reports.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ def run_load(
             "episodes": 0,
             "sources": {},
             "latencies_ms": [],
+            "round_trips_ms": [],
             "trace_ids": [],
         }
         try:
@@ -88,6 +91,7 @@ def run_load(
                     summary["episodes"] += 1
                     summary["decisions"] += episode["decisions"]
                     summary["latencies_ms"].extend(episode["latencies_ms"])
+                    summary["round_trips_ms"].extend(episode["round_trips_ms"])
                     summary["trace_ids"].extend(episode.get("trace_ids", []))
                     for source, count in episode["sources"].items():
                         summary["sources"][source] = (
@@ -113,7 +117,10 @@ def run_load(
     if errors:
         raise RuntimeError("load generation failed: " + "; ".join(errors))
     summaries = [summary for summary in per_session if summary is not None]
-    all_latencies = [value for summary in summaries for value in summary["latencies_ms"]]
+    round_trips = [value for summary in summaries for value in summary["round_trips_ms"]]
+    server_latencies = [
+        value for summary in summaries for value in summary["latencies_ms"]
+    ]
     sources: dict[str, int] = {}
     for summary in summaries:
         for source, count in summary["sources"].items():
@@ -130,7 +137,8 @@ def run_load(
         "elapsed_seconds": elapsed,
         "decisions_per_sec": decisions / elapsed if elapsed > 0 else float("inf"),
         "sources": sources,
-        "latency_ms": latency_histogram(all_latencies),
+        "latency_ms": latency_histogram(round_trips),
+        "server_latency_ms": latency_histogram(server_latencies),
         "per_session": [
             {
                 "decisions": summary["decisions"],

@@ -44,7 +44,7 @@ from ..obs import (
     log_event,
     render_prometheus,
 )
-from .protocol import ProtocolError, decode_frame, encode_message
+from .protocol import MAX_FRAME_BYTES, ProtocolError, decode_frame, encode_message, read_frame
 
 __all__ = ["ShardRouter", "ShardState", "shard_for_session"]
 
@@ -134,6 +134,11 @@ class ShardRouter:
         # shard's own, so one query sees the whole fleet.
         self.metrics = MetricsRegistry()
         self.metrics.register_collector(self._collect_metrics)
+        self.error_frames = self.metrics.counter(
+            "router_error_frames_total",
+            "Coded error frames the router sent, by code",
+            labels=("code",),
+        )
         self.spans = SpanStore(max_traces=int(trace_capacity))
         self.flight = FlightRecorder(
             capacity=int(flight_capacity), service="router", dump_dir=flight_dir
@@ -180,10 +185,10 @@ class ShardRouter:
 
     async def _start_serving(self):
         self._data_server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
+            self._handle_client, self.host, self.port, limit=MAX_FRAME_BYTES
         )
         self._control_server = await asyncio.start_server(
-            self._handle_control, self.host, self.control_port
+            self._handle_control, self.host, self.control_port, limit=MAX_FRAME_BYTES
         )
         return (
             self._data_server.sockets[0].getsockname()[:2],
@@ -223,6 +228,22 @@ class ShardRouter:
     async def _write(self, writer: asyncio.StreamWriter, payload: dict) -> None:
         writer.write(encode_message(payload))
         await writer.drain()
+
+    async def _error(
+        self, writer: asyncio.StreamWriter, message: str, code: Optional[str] = None
+    ) -> None:
+        """Send an error frame; coded errors are counted by code."""
+        payload = {"type": "error", "message": message}
+        if code is not None:
+            payload["code"] = code
+            self.error_frames.inc(code=code)
+        await self._write(writer, payload)
+
+    async def _open_shard(self, shard: ShardState, timeout: float):
+        return await asyncio.wait_for(
+            asyncio.open_connection(shard.host, shard.port, limit=MAX_FRAME_BYTES),
+            timeout=timeout,
+        )
 
     def _pick_shard(self, session_id: str) -> Optional[ShardState]:
         """Preferred shard by hash; walk forward past unhealthy/draining ones."""
@@ -318,10 +339,7 @@ class ShardRouter:
             if shard is None:
                 return None, None, None
             try:
-                reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(shard.host, shard.port),
-                    timeout=self.connect_timeout,
-                )
+                reader, writer = await self._open_shard(shard, self.connect_timeout)
                 return shard, reader, writer
             except (ConnectionError, OSError, asyncio.TimeoutError):
                 # Dead at connect time: mark it and retry the pick, which now
@@ -337,20 +355,16 @@ class ShardRouter:
         try:
             # The first frame must open the session: everything the router
             # does (admission, placement) keys off the hello.
-            line = await reader.readline()
-            if not line:
-                return
             try:
+                line = await read_frame(reader)
+                if not line:
+                    return
                 message = decode_frame(line)
             except ProtocolError as error:
-                await self._write(writer, {"type": "error", "message": str(error)})
+                await self._error(writer, str(error), error.code)
                 return
             if message["type"] != "hello":
-                await self._write(
-                    writer,
-                    {"type": "error",
-                     "message": "the router requires 'hello' as the first frame"},
-                )
+                await self._error(writer, "the router requires 'hello' as the first frame")
                 return
             if (
                 self.max_sessions is not None
@@ -370,16 +384,11 @@ class ShardRouter:
                     active_sessions=self._active_sessions,
                     max_sessions=self.max_sessions,
                 )
-                await self._write(
+                await self._error(
                     writer,
-                    {
-                        "type": "error",
-                        "code": "admission_rejected",
-                        "message": (
-                            f"fleet at admission limit "
-                            f"({self._active_sessions}/{self.max_sessions} sessions)"
-                        ),
-                    },
+                    f"fleet at admission limit "
+                    f"({self._active_sessions}/{self.max_sessions} sessions)",
+                    "admission_rejected",
                 )
                 return
             if not message.get("session_id"):
@@ -390,10 +399,8 @@ class ShardRouter:
             shard, shard_reader, shard_writer = await self._connect_shard(session_id)
             if shard is None:
                 self.flight.record("no_healthy_shards", session_id=session_id)
-                await self._write(
-                    writer,
-                    {"type": "error", "code": "no_healthy_shards",
-                     "message": "no healthy shard can accept this session"},
+                await self._error(
+                    writer, "no healthy shard can accept this session", "no_healthy_shards"
                 )
                 return
             self._active_sessions += 1
@@ -406,13 +413,13 @@ class ShardRouter:
             self.counters.routed_sessions += 1
             # Steady state: strict request/response relay.
             while True:
-                line = await reader.readline()
-                if not line:
-                    return
                 try:
+                    line = await read_frame(reader)
+                    if not line:
+                        return
                     message = decode_frame(line)
                 except ProtocolError as error:
-                    await self._write(writer, {"type": "error", "message": str(error)})
+                    await self._error(writer, str(error), error.code)
                     continue
                 # Traced decide: add the router hop to the chain.  The span
                 # continues the client's context, and the frame forwarded to
@@ -461,46 +468,49 @@ class ShardRouter:
         try:
             shard_writer.write(encode_message(message))
             await shard_writer.drain()
-            line = await shard_reader.readline()
+            line = await read_frame(shard_reader)
             if not line:
                 raise ConnectionResetError("shard closed the connection")
             reply = decode_frame(line)
-        except (ConnectionError, OSError, ProtocolError):
-            self._mark_failed(shard)
-            try:
-                await self._write(
-                    client_writer,
-                    {
-                        "type": "error",
-                        "code": "shard_failed",
-                        "message": (
-                            f"shard {shard.index} ({shard.host}:{shard.port}) "
-                            f"failed mid-session; please reconnect"
-                        ),
-                    },
-                )
-            except (ConnectionError, OSError):
-                pass
+        except ProtocolError as error:
+            if error.code == "frame_too_large":
+                # The shard is fine, its reply is not: the session goes on.
+                await self._error(client_writer, f"shard reply: {error}", error.code)
+                return {"type": "error", "code": error.code}
+            await self._shard_failed(shard, client_writer)
+            return None
+        except (ConnectionError, OSError):
+            await self._shard_failed(shard, client_writer)
             return None
         self.counters.forwarded_frames += 1
         client_writer.write(encode_message(reply))
         await client_writer.drain()
         return reply
 
+    async def _shard_failed(self, shard: ShardState, client_writer) -> None:
+        """Mark ``shard`` failed and tell the client its session is gone."""
+        self._mark_failed(shard)
+        try:
+            await self._error(
+                client_writer,
+                f"shard {shard.index} ({shard.host}:{shard.port}) "
+                f"failed mid-session; please reconnect",
+                "shard_failed",
+            )
+        except (ConnectionError, OSError):
+            pass
+
     # ------------------------------------------------------------ control plane
     async def _probe_shard(self, shard: ShardState) -> bool:
         """One liveness probe: connect, ask for stats, expect a stats reply."""
         try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(shard.host, shard.port),
-                timeout=self.probe_timeout,
-            )
+            reader, writer = await self._open_shard(shard, self.probe_timeout)
         except (ConnectionError, OSError, asyncio.TimeoutError):
             return False
         try:
             writer.write(encode_message({"type": "stats"}))
             await writer.drain()
-            line = await asyncio.wait_for(reader.readline(), timeout=self.probe_timeout)
+            line = await asyncio.wait_for(read_frame(reader), timeout=self.probe_timeout)
             if not line:
                 return False
             return decode_frame(line).get("type") == "stats"
@@ -518,15 +528,12 @@ class ShardRouter:
             entry["ok"] = False
             return entry
         try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(shard.host, shard.port),
-                timeout=self.probe_timeout,
-            )
+            reader, writer = await self._open_shard(shard, self.probe_timeout)
             try:
                 writer.write(encode_message({"type": "stats"}))
                 await writer.drain()
                 line = await asyncio.wait_for(
-                    reader.readline(), timeout=self.probe_timeout
+                    read_frame(reader), timeout=self.probe_timeout
                 )
                 reply = decode_frame(line) if line else {}
             finally:
@@ -557,15 +564,12 @@ class ShardRouter:
         if not shard.healthy:
             return None
         try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(shard.host, shard.port),
-                timeout=self.probe_timeout,
-            )
+            reader, writer = await self._open_shard(shard, self.probe_timeout)
             try:
                 writer.write(encode_message(payload))
                 await writer.drain()
                 line = await asyncio.wait_for(
-                    reader.readline(), timeout=self.probe_timeout
+                    read_frame(reader), timeout=self.probe_timeout
                 )
                 return decode_frame(line) if line else None
             finally:
@@ -728,13 +732,13 @@ class ShardRouter:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
-                if not line:
-                    return
                 try:
+                    line = await read_frame(reader)
+                    if not line:
+                        return
                     message = decode_frame(line)
                 except ProtocolError as error:
-                    await self._write(writer, {"type": "error", "message": str(error)})
+                    await self._error(writer, str(error), error.code)
                     continue
                 kind = message["type"]
                 try:

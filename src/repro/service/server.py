@@ -147,6 +147,9 @@ class ServerCore:
         self.broker.latency_metric = self.metrics.histogram(
             "decision_latency_ms", "End-to-end broker decision latency"
         )
+        self.error_frames = self.metrics.counter(
+            "error_frames_total", "Coded error frames sent, by code", labels=("code",)
+        )
         self.metrics.register_collector(self._collect_metrics)
         if breaker is not None:
             breaker.on_open = self._on_breaker_open
@@ -260,6 +263,14 @@ class ServerCore:
             num_opens=breaker.num_opens,
             slo_ms=breaker.slo_seconds * 1000.0,
         )
+
+    def error_reply(self, error: ProtocolError) -> dict:
+        """The error frame for ``error``; coded errors are counted by code."""
+        reply = {"type": "error", "message": str(error)}
+        if error.code is not None:
+            reply["code"] = error.code
+            self.error_frames.inc(code=error.code)
+        return reply
 
     def metrics_payload(self, message: dict) -> dict:
         """Handle a ``metrics`` request (data plane and control plane alike)."""
@@ -603,7 +614,7 @@ class PolicyServer(ServerCore):
                 try:
                     message = read_message(stream)
                 except ProtocolError as error:
-                    write_message(stream, {"type": "error", "message": str(error)})
+                    write_message(stream, self.error_reply(error))
                     continue
                 except (OSError, ValueError):
                     return  # connection torn down (possibly by stop())
@@ -634,7 +645,7 @@ class PolicyServer(ServerCore):
                             {"type": "error", "message": f"unknown request type {kind!r}"},
                         )
                 except ProtocolError as error:
-                    write_message(stream, {"type": "error", "message": str(error)})
+                    write_message(stream, self.error_reply(error))
                 except (KeyError, TypeError, ValueError) as error:
                     # Malformed payload (missing fields, wrong types): answer
                     # with an error frame and keep the connection usable, as

@@ -7,9 +7,12 @@ client's ``decide`` snapshots.  Reconciliation is incremental and
 identity-preserving:
 
 * a job id seen for the first time builds a fresh shadow DAG from the
-  snapshot's static structure (nodes, edges, durations);
+  snapshot's full entry (nodes, edges, durations) and records the
+  structure digest the server computes for it;
 * a known job id only refreshes the runtime counters *in place* on the
-  existing shadow objects;
+  existing shadow objects — from a full entry whose digest matches, or from
+  protocol-4 ``counters`` rows; a full entry with another digest rebuilds
+  the shadow (the client recycled the id);
 * job ids absent from a snapshot are dropped (the job finished client-side).
 
 Because unchanged jobs keep their object identity across requests, the
@@ -34,7 +37,7 @@ from ..simulator.environment import Action, Observation
 from ..simulator.executor import default_executor_class
 from ..simulator.jobdag import JobDAG, Node
 from ..simulator.metrics import latency_histogram
-from .protocol import ProtocolError
+from .protocol import ProtocolError, structure_digest
 
 __all__ = ["SessionState"]
 
@@ -68,6 +71,12 @@ class SessionState:
         # sit on the serving hot path.
         self._shadow_jobs: dict[int, JobDAG] = {}
         self._shadow_nodes: dict[int, dict[int, Node]] = {}
+        # job id -> structure digest of its shadow, computed server-side; for
+        # shadows built from an unstamped (protocol-3) entry also the parsed
+        # static fields, which later unstamped entries compare against
+        # first: cheaper than a digest.
+        self._digests: dict[int, str] = {}
+        self._structures: dict[int, tuple[list, list]] = {}
         self._client_job_id: dict[int, int] = {}
         # Accounting.
         self.num_decisions = 0
@@ -80,129 +89,192 @@ class SessionState:
         self.last_policy_version: Optional[int] = None
 
     # ------------------------------------------------------------ reconciling
-    def _build_shadow_job(self, payload: dict) -> JobDAG:
+    @staticmethod
+    def _entry_structure(payload: dict) -> tuple[list, list]:
+        """A full entry's static fields: ``(node_id, num_tasks, duration)``s, edges."""
         nodes = [
-            Node(
-                node_id=int(spec["node_id"]),
-                num_tasks=int(spec["num_tasks"]),
-                task_duration=float(spec["task_duration"]),
-            )
+            (int(spec["node_id"]), int(spec["num_tasks"]), float(spec["task_duration"]))
             for spec in payload["nodes"]
         ]
+        return nodes, [(int(src), int(dst)) for src, dst in payload["edges"]]
+
+    @staticmethod
+    def _build_shadow_job(payload: dict, nodes: list, edges: list) -> JobDAG:
         return JobDAG(
-            nodes,
-            edges=[(int(src), int(dst)) for src, dst in payload["edges"]],
+            [
+                Node(node_id=node_id, num_tasks=num_tasks, task_duration=duration)
+                for node_id, num_tasks, duration in nodes
+            ],
+            edges=edges,
             name=str(payload.get("name", "")),
             arrival_time=float(payload.get("arrival_time", 0.0)),
         )
 
     @staticmethod
-    def _static_matches(job: JobDAG, by_id: dict, payload: dict) -> bool:
-        """True when a snapshot's static structure equals the shadow job's.
-
-        A client may recycle a job id across episodes; trusting the id alone
-        would schedule against a stale DAG.  Node count, per-node task counts
-        and durations, and the edge set must all agree — anything else means
-        the id now names a different job and the shadow must be rebuilt.
-        """
-        if len(payload["nodes"]) != len(job.nodes):
-            return False
-        for spec in payload["nodes"]:
-            node = by_id.get(int(spec["node_id"]))
-            if (
-                node is None
-                or node.num_tasks != int(spec["num_tasks"])
-                or node.task_duration != float(spec["task_duration"])
-            ):
-                return False
-        edges = {(int(src), int(dst)) for src, dst in payload["edges"]}
-        return edges == {(src, dst) for src, dst in job.edges}
+    def _set_counters(node: Node, finished: int, running: int, next_index: int) -> None:
+        # Log a feature touch only when a counter the feature matrix reads
+        # actually changed, so the session's GraphCache delta path refreshes
+        # exactly the rows this snapshot moved.  (next_task_index feeds no
+        # feature column.)
+        if (
+            finished != node.num_finished_tasks or running != node.num_running_tasks
+        ) and node.job is not None:
+            node.job.log_feature_touch(node)
+        node.num_finished_tasks = finished
+        node.num_running_tasks = running
+        node.next_task_index = next_index
 
     @staticmethod
-    def _refresh_counters(by_id: dict, payload: dict) -> None:
-        for spec in payload["nodes"]:
-            node = by_id[int(spec["node_id"])]
-            finished = int(spec["num_finished_tasks"])
-            running = int(spec["num_running_tasks"])
-            # Log a feature touch only when a counter the feature matrix
-            # reads actually changed, so the session's GraphCache delta path
-            # refreshes exactly the rows this snapshot moved.
-            # (next_task_index feeds no feature column.)
-            if (
-                finished != node.num_finished_tasks
-                or running != node.num_running_tasks
-            ) and node.job is not None:
-                node.job.log_feature_touch(node)
-            node.num_finished_tasks = finished
-            node.num_running_tasks = running
-            node.next_task_index = int(spec["next_task_index"])
+    def _lookup(nodes_by_id: dict, job_id: int, node_id: int) -> Node:
+        node = nodes_by_id.get(node_id)
+        if node is None:
+            raise ProtocolError(f"job {job_id} has no node {node_id}")
+        return node
 
     def observation_from_snapshot(self, payload: dict) -> Observation:
         """Reconcile the shadow state with a ``decide`` snapshot.
+
+        Full snapshots and protocol-4 deltas take the same path (see
+        :mod:`repro.service.protocol`).  The whole frame is validated before
+        any shadow state changes: a :class:`ProtocolError` (``code`` set to
+        ``resync_required`` for a job this session does not hold) leaves the
+        session exactly as it was.
 
         Returns an :class:`Observation` over the shadow DAGs, in the
         snapshot's job order, suitable for ``DecimaAgent.act`` /
         ``act_batch`` and for the fallback heuristics alike.
         """
-        job_dags: list[JobDAG] = []
-        seen: set[int] = set()
-        for job_payload in payload["jobs"]:
-            client_id = int(job_payload["job_id"])
-            if client_id in seen:
+        # --- validate: resolve every job and counter update, change nothing
+        entries: dict[int, dict] = {}
+        for entry in payload["jobs"]:
+            client_id = int(entry["job_id"])
+            if client_id in entries:
                 raise ProtocolError(f"job {client_id} appears twice in one snapshot")
-            seen.add(client_id)
+            entries[client_id] = entry
+        job_ids = payload.get("job_ids")
+        order = list(entries) if job_ids is None else [int(job_id) for job_id in job_ids]
+        live = set(order)
+        if len(live) != len(order):
+            raise ProtocolError("a job appears twice in one snapshot")
+        if not entries.keys() <= live:
+            raise ProtocolError("a full job entry is missing from job_ids")
+        # client id -> (shadow, node map, (digest, structure) of a newly built
+        # shadow or None)
+        resolved: dict[int, tuple] = {}
+        updates: list[tuple] = []
+        for client_id in order:
             shadow = self._shadow_jobs.get(client_id)
-            if shadow is not None and not self._static_matches(
-                shadow, self._shadow_nodes[client_id], job_payload
-            ):
-                # The client recycled this job id for a structurally
-                # different job: discard the stale shadow and rebuild.
-                self._client_job_id.pop(id(shadow), None)
-                shadow = None
-            if shadow is None:
-                shadow = self._build_shadow_job(job_payload)
-                self._shadow_jobs[client_id] = shadow
-                self._shadow_nodes[client_id] = {
-                    node.node_id: node for node in shadow.nodes
-                }
-                self._client_job_id[id(shadow)] = client_id
-            self._refresh_counters(self._shadow_nodes[client_id], job_payload)
-            job_dags.append(shadow)
-        for stale_id in [cid for cid in self._shadow_jobs if cid not in seen]:
-            shadow = self._shadow_jobs.pop(stale_id)
-            self._shadow_nodes.pop(stale_id, None)
-            self._client_job_id.pop(id(shadow), None)
-
-        shadow_by_id = self._shadow_jobs
+            entry = entries.get(client_id)
+            if entry is None:
+                if shadow is None:
+                    raise ProtocolError(
+                        f"delta names job {client_id}, which this session does not hold",
+                        code="resync_required",
+                    )
+                resolved[client_id] = (shadow, self._shadow_nodes[client_id], None)
+                continue
+            # Keep the shadow when the entry's digest equals the one computed
+            # at build time; an unstamped (protocol-3) entry that repeats the
+            # parsed structure verbatim needs no digest at all.
+            stamped = entry.get("digest")
+            structure = digest = None
+            if stamped is None:
+                structure = self._entry_structure(entry)
+                if shadow is not None and structure == self._structures.get(client_id):
+                    digest = self._digests[client_id]
+                else:
+                    digest = structure_digest(*structure)
+            if shadow is not None and (digest or stamped) == self._digests[client_id]:
+                resolved[client_id] = (shadow, self._shadow_nodes[client_id], None)
+            else:
+                # New to the session, or the client recycled this job id for
+                # a structurally different job: build a fresh shadow, with
+                # the digest computed here.
+                if structure is None:
+                    structure = self._entry_structure(entry)
+                    digest = structure_digest(*structure)
+                    if digest != stamped:
+                        raise ProtocolError(
+                            f"job {client_id} digest {stamped} does not match its structure"
+                        )
+                shadow = self._build_shadow_job(entry, *structure)
+                resolved[client_id] = (
+                    shadow,
+                    {node.node_id: node for node in shadow.nodes},
+                    (digest, structure if stamped is None else None),
+                )
+            nodes_by_id = resolved[client_id][1]
+            for spec in entry["nodes"]:
+                node = nodes_by_id.get(int(spec["node_id"]))
+                if node is None:
+                    raise ProtocolError(f"job {client_id} has no node {spec['node_id']}")
+                updates.append((
+                    node,
+                    int(spec.get("num_finished_tasks", 0)),
+                    int(spec.get("num_running_tasks", 0)),
+                    int(spec.get("next_task_index", 0)),
+                ))
+        for job_id, node_id, finished, running, next_index in payload.get("counters", ()):
+            job_id = int(job_id)
+            if job_id not in resolved:
+                raise ProtocolError(f"counter row names job {job_id}, which is not live")
+            updates.append((
+                self._lookup(resolved[job_id][1], job_id, int(node_id)),
+                int(finished),
+                int(running),
+                int(next_index),
+            ))
         schedulable: list[Node] = []
         for job_id, node_id in payload.get("schedulable", []):
-            nodes_by_id = self._shadow_nodes.get(int(job_id))
-            if nodes_by_id is None:
+            job = resolved.get(int(job_id))
+            if job is None:
                 raise ProtocolError(f"schedulable entry names unknown job {job_id}")
-            node = nodes_by_id.get(int(node_id))
-            if node is None:
-                raise ProtocolError(
-                    f"schedulable entry names unknown node {node_id} of job {job_id}"
-                )
-            schedulable.append(node)
-
-        num_free = int(payload["num_free_executors"])
+            schedulable.append(self._lookup(job[1], int(job_id), int(node_id)))
         source_id = payload.get("source_job")
+        source = resolved.get(int(source_id)) if source_id is not None else None
+        num_free = int(payload["num_free_executors"])
+        wall_time = float(payload.get("wall_time", 0.0))
+        total_executors = int(payload.get("total_executors", self.num_executors))
+        num_jobs_in_system = int(payload.get("num_jobs_in_system", len(order)))
+
+        # --- apply: nothing below can fail
+        for stale_id in [cid for cid in self._shadow_jobs if cid not in resolved]:
+            self._drop_shadow(stale_id)
+        for client_id, (shadow, nodes_by_id, built) in resolved.items():
+            if built is not None:
+                self._drop_shadow(client_id)
+                self._shadow_jobs[client_id] = shadow
+                self._shadow_nodes[client_id] = nodes_by_id
+                self._digests[client_id], structure = built
+                if structure is not None:
+                    self._structures[client_id] = structure
+                self._client_job_id[id(shadow)] = client_id
+        for update in updates:
+            self._set_counters(*update)
+
         cls = default_executor_class()
         return Observation(
-            wall_time=float(payload.get("wall_time", 0.0)),
-            job_dags=job_dags,
+            wall_time=wall_time,
+            job_dags=[resolved[client_id][0] for client_id in order],
             schedulable_nodes=schedulable,
             num_free_executors=num_free,
             free_executors_by_class=Counter({cls: num_free} if num_free else {}),
-            source_job=shadow_by_id.get(int(source_id)) if source_id is not None else None,
-            total_executors=int(payload.get("total_executors", self.num_executors)),
+            source_job=source[0] if source is not None else None,
+            total_executors=total_executors,
             # The serving protocol models homogeneous clusters: no executor
             # classes on the wire, so the agent's multi-resource head (and the
             # action's executor_class) stay disabled end to end.
             executor_classes=[],
-            num_jobs_in_system=int(payload.get("num_jobs_in_system", len(job_dags))),
+            num_jobs_in_system=num_jobs_in_system,
         )
+
+    def _drop_shadow(self, client_id: int) -> None:
+        shadow = self._shadow_jobs.pop(client_id, None)
+        if shadow is not None:
+            self._shadow_nodes.pop(client_id, None)
+            self._digests.pop(client_id, None)
+            self._structures.pop(client_id, None)
+            self._client_job_id.pop(id(shadow), None)
 
     # -------------------------------------------------------------- encoding
     def encode_action(self, action: Optional[Action]) -> dict:
@@ -268,8 +340,4 @@ class SessionState:
             "latency_ms": latency_histogram(
                 [seconds * 1000.0 for seconds in self.latencies]
             ),
-            # Deprecated since PR 9: seconds under "latency".  Kept one
-            # release so existing dashboards/scripts keep reading; prefer
-            # "latency_ms".
-            "latency": latency_histogram(self.latencies),
         }

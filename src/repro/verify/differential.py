@@ -284,8 +284,10 @@ def _service_stream(
 ) -> EpisodeTrace:
     """Drive ``num_sessions`` concurrent clusters through request broker(s).
 
-    Observations travel through the real wire encoding and shadow-DAG
-    reconciliation; decisions flow back through the broker's decision tap.
+    Observations travel through the real wire encoding — protocol-4 deltas,
+    one :class:`~repro.service.protocol.WireState` per session as a client
+    connection keeps it — and shadow-DAG reconciliation; decisions flow back
+    through the broker's decision tap.
     With ``num_shards > 1`` this models the sharded fleet's dispatch path:
     sessions are partitioned across shards by the router's
     :func:`~repro.service.router.shard_for_session` hash and each shard
@@ -307,6 +309,7 @@ def _service_stream(
         DecisionRequest,
         RequestBroker,
         SessionState,
+        WireState,
         encode_observation,
         shard_for_session,
     )
@@ -387,7 +390,7 @@ def _service_stream(
                 trainer=OnlineTrainerConfig(learning_rate=0.0),
             ),
         )
-    environments, observations, sessions, shard_of = [], [], [], []
+    environments, observations, sessions, wires, shard_of = [], [], [], [], []
     for index in range(task.num_sessions):
         jobs = task.build_jobs(spec, stream=index + 1)
         environment = SchedulingEnvironment(spec.build_config(seed=task.seed + index))
@@ -401,6 +404,7 @@ def _service_stream(
                 seed=1_000 + task.seed * 31 + index,
             )
         )
+        wires.append(WireState())
         shard_of.append(shard_for_session(session_id, num_shards))
     # ``max_decisions`` caps *recorded decisions* (matching the header field's
     # meaning everywhere else); the round bound is only a safety valve against
@@ -424,7 +428,7 @@ def _service_stream(
             index: DecisionRequest(
                 session=sessions[index],
                 observation=sessions[index].observation_from_snapshot(
-                    encode_observation(observation)
+                    encode_observation(observation, wires[index])
                 ),
             )
             for index, observation in pending

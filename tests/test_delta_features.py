@@ -182,23 +182,14 @@ class TestSessionTouchLogging:
     def test_refresh_counters_logs_only_changed_nodes(self):
         job = _chain_job()
         by_id = {node.node_id: node for node in job.nodes}
-        payload = {
-            "nodes": [
-                {"node_id": 0, "num_finished_tasks": 1, "num_running_tasks": 0,
-                 "next_task_index": 1},
-                {"node_id": 1, "num_finished_tasks": 0, "num_running_tasks": 0,
-                 "next_task_index": 0},
-                {"node_id": 2, "num_finished_tasks": 0, "num_running_tasks": 0,
-                 "next_task_index": 0},
-            ]
-        }
         before = job.drain_feature_touches(0)[0]
-        SessionState._refresh_counters(by_id, payload)
+        # (node, finished, running, next_task_index), as a snapshot sets them.
+        for node_id, counters in ((0, (1, 0, 1)), (1, (0, 0, 0)), (2, (0, 0, 0))):
+            SessionState._set_counters(by_id[node_id], *counters)
         position, touched = job.drain_feature_touches(before)
         assert touched == [by_id[0]]
         # An identical snapshot logs nothing (next_task_index feeds no column).
-        payload["nodes"][0]["next_task_index"] = 2
-        SessionState._refresh_counters(by_id, payload)
+        SessionState._set_counters(by_id[0], 1, 0, 2)
         assert job.drain_feature_touches(position)[1] == []
 
 

@@ -139,11 +139,9 @@ class TestMetricsEndpoint:
             stats = client.stats()
         session = stats["session"]
         assert session["latency_ms"]["count"] == 4
-        # Deprecated seconds-based key still present for old dashboards.
-        assert session["latency"]["count"] == 4
-        assert session["latency"]["p50"] == pytest.approx(
-            session["latency_ms"]["p50"] / 1000.0
-        )
+        assert session["latency_ms"]["p50"] > 0.0
+        # The seconds-based "latency" alias is gone: one schema, in ms.
+        assert "latency" not in session
 
 
 # ---------------------------------------------------------- trace propagation

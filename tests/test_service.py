@@ -20,6 +20,7 @@ import threading
 import numpy as np
 import pytest
 
+from _helpers import LARGE_NUM_JOBS, play_greedy, tpch_batch
 from _helpers import make_tpch_env as make_env
 
 from repro.core import (
@@ -45,6 +46,7 @@ from repro.schedulers import (
     scheduler_names,
 )
 from repro.service import (
+    MAX_FRAME_BYTES,
     CircuitBreaker,
     DecisionRequest,
     PolicyClient,
@@ -52,10 +54,14 @@ from repro.service import (
     ProtocolError,
     RequestBroker,
     SessionState,
+    WireState,
+    decode_action,
     drive_episode,
+    encode_message,
     encode_observation,
     run_load,
 )
+from repro.service.protocol import decode_frame
 from repro.simulator import SchedulingEnvironment, SimulatorConfig, latency_histogram
 from repro.simulator.environment import Action
 from repro.workloads import batched_arrivals, sample_tpch_jobs
@@ -725,6 +731,10 @@ class TestPolicyServerEndToEnd:
                            num_executors=6, min_total_decisions=30)
         assert summary["decisions"] >= 30
         assert summary["latency_ms"]["count"] == summary["decisions"]
+        # latency_ms is client-timed: every round trip contains the broker
+        # latency the server reports beside it.
+        assert summary["server_latency_ms"]["count"] == summary["decisions"]
+        assert summary["latency_ms"]["p50"] > summary["server_latency_ms"]["p50"]
         assert summary["sources"].get("policy", 0) == summary["decisions"]
         assert summary["decisions_per_sec"] > 0
 
@@ -793,3 +803,246 @@ class TestPolicyServerEndToEnd:
         with PolicyClient(host, port) as client:
             with pytest.raises(ProtocolError, match="unknown fallback"):
                 client.hello(fallback="not_a_scheduler")
+
+
+# ------------------------------------------------------- protocol 4 (deltas)
+def small_agent(total_executors):
+    """A tiny fixed-seed agent: 200-job episodes stay cheap to serve."""
+    return DecimaAgent(
+        total_executors=total_executors,
+        config=DecimaConfig(seed=0, hidden_sizes=(16, 8), embedding_dim=4),
+    )
+
+
+def shadow_state(session):
+    """Everything a reconcile may change, in comparable form."""
+    return {
+        client_id: (
+            id(job),
+            [
+                (node.node_id, node.num_finished_tasks, node.num_running_tasks,
+                 node.next_task_index)
+                for node in job.nodes
+            ],
+        )
+        for client_id, job in session._shadow_jobs.items()
+    }
+
+
+def wire_view(observation, client_ids):
+    """A shadow observation in wire terms (client job ids, not objects)."""
+    return (
+        [client_ids[id(job)] for job in observation.job_dags],
+        [
+            [(node.num_finished_tasks, node.num_running_tasks, node.next_task_index)
+             for node in job.nodes]
+            for job in observation.job_dags
+        ],
+        [(client_ids[id(node.job)], node.node_id) for node in observation.schedulable_nodes],
+        observation.num_free_executors,
+    )
+
+
+class TestDeltaSnapshots:
+    def test_steady_state_frame_at_200_jobs_is_under_10_kb(self):
+        """The first frame carries every DAG; later ones only what moved."""
+        env = SchedulingEnvironment(SimulatorConfig(num_executors=20, seed=0))
+        observation = env.reset(tpch_batch(LARGE_NUM_JOBS, seed=3), seed=0)
+        wire, session, fifo = WireState(), SessionState("s", 20), FIFOScheduler()
+        sizes = []
+        for _ in range(40):
+            frame = encode_message(
+                {"type": "decide", "observation": encode_observation(observation, wire)}
+            )
+            sizes.append(len(frame))
+            session.observation_from_snapshot(decode_frame(frame)["observation"])
+            observation, _, _ = env.step(fifo.schedule(observation))
+        assert sizes[0] > 150_000
+        assert max(sizes[1:]) < 10_000
+
+    def test_delta_reconcile_matches_full_snapshots(self):
+        """Deltas rebuild exactly the state full snapshots do, through
+        arrivals and completions."""
+        env, observation = make_env(num_jobs=6, seed=4, staggered=True)
+        wire = WireState()
+        delta_session, full_session = SessionState("d", 8), SessionState("f", 8)
+        fifo = FIFOScheduler()
+        done, steps, touched = False, 0, 0
+        while not done and steps < 400:
+            delta = delta_session.observation_from_snapshot(
+                encode_observation(observation, wire)
+            )
+            full = full_session.observation_from_snapshot(encode_observation(observation))
+            assert wire_view(delta, delta_session._client_job_id) == wire_view(
+                full, full_session._client_job_id
+            )
+            # Same feature touches too: the GraphCache delta path sees the
+            # same rows whichever format delivered them.
+            for delta_job, full_job in zip(delta.job_dags, full.job_dags):
+                assert delta_job.feature_epoch == full_job.feature_epoch
+                assert [n.node_id for n in delta_job.drain_feature_touches(0)[1]] == [
+                    n.node_id for n in full_job.drain_feature_touches(0)[1]
+                ]
+                touched += len(full_job.drain_feature_touches(0)[1])
+            observation, _, done = env.step(fifo.schedule(observation))
+            steps += 1
+        assert done and touched > 0
+
+    def test_rejected_delta_leaves_shadow_state_untouched(self):
+        env, observation = make_env(num_jobs=3, seed=0)
+        wire, session = WireState(), SessionState("s", 8)
+        session.observation_from_snapshot(encode_observation(observation, wire))
+        observation, _, _ = env.step(
+            Action(node=observation.schedulable_nodes[0], parallelism_limit=4)
+        )
+        payload = encode_observation(observation, wire)
+        assert payload["counters"] and not payload["jobs"]
+        before = shadow_state(session)
+        bad_node = {**payload, "schedulable": payload["schedulable"] + [[payload["job_ids"][0], 999]]}
+        with pytest.raises(ProtocolError, match="no node 999"):
+            session.observation_from_snapshot(bad_node)
+        assert shadow_state(session) == before
+        unknown_job = {**payload, "job_ids": payload["job_ids"] + [123456]}
+        with pytest.raises(ProtocolError) as excinfo:
+            session.observation_from_snapshot(unknown_job)
+        assert excinfo.value.code == "resync_required"
+        assert shadow_state(session) == before
+        # The untouched session still takes the real frame.
+        session.observation_from_snapshot(payload)
+        assert shadow_state(session) != before
+
+    def test_recycled_job_id_with_a_different_digest_rebuilds_shadow(self):
+        wire, session = WireState(), SessionState("s", 8)
+        _, first = make_env(num_jobs=1, seed=0)
+        (job,) = first.job_dags
+        kept = session.observation_from_snapshot(encode_observation(first, wire)).job_dags[0]
+        # A structurally identical job object under the same id: counters
+        # only, the shadow is kept.
+        _, same = make_env(num_jobs=1, seed=0)
+        same.job_dags[0].job_id = job.job_id
+        payload = encode_observation(same, wire)
+        assert payload["jobs"] == []
+        assert session.observation_from_snapshot(payload).job_dags[0] is kept
+        # A different job under the same id: a full, digest-stamped entry.
+        _, other = make_env(num_jobs=1, seed=5)
+        other.job_dags[0].job_id = job.job_id
+        payload = encode_observation(other, wire)
+        (entry,) = payload["jobs"]
+        assert entry["digest"] != session._digests[job.job_id]
+        rebuilt = session.observation_from_snapshot(payload).job_dags[0]
+        assert rebuilt is not kept
+        assert [n.num_tasks for n in rebuilt.nodes] == [
+            n.num_tasks for n in other.job_dags[0].nodes
+        ]
+        assert session._digests[job.job_id] == entry["digest"]
+
+    def test_digest_that_does_not_match_the_structure_is_rejected(self):
+        _, observation = make_env(num_jobs=1, seed=0)
+        payload = encode_observation(observation, WireState())
+        payload["jobs"][0]["digest"] = "0" * 16
+        session = SessionState("s", 8)
+        with pytest.raises(ProtocolError, match="does not match"):
+            session.observation_from_snapshot(payload)
+        assert session.num_jobs == 0
+
+
+class TestProtocolV4EndToEnd:
+    """Protocol 4 over both transports (see ``server_factory``)."""
+
+    def test_200_job_episode_matches_in_process_greedy(self, server_factory):
+        """A realistic-size session: the ~200 kB first frame, then deltas,
+        with every served action equal to in-process ``act(greedy=True)``."""
+        prefix = 100
+        reference_agent = small_agent(20)
+        reference = play_greedy(
+            lambda observation: reference_agent.act(observation, greedy=True)[0],
+            tpch_batch(LARGE_NUM_JOBS, seed=3), 20, max_decisions=prefix,
+        )
+        server = server_factory(small_agent(20))
+        with PolicyClient(*server.address) as client:
+            client.hello(num_executors=20, seed=0)
+            served = play_greedy(
+                lambda observation: decode_action(client.decide(observation), observation),
+                tpch_batch(LARGE_NUM_JOBS, seed=3), 20, max_decisions=prefix,
+            )
+            assert client.protocol == 4
+            assert client.num_resyncs == 0
+        assert served == reference
+
+    def test_resync_required_round_trip(self, server_factory):
+        server = server_factory(small_agent(8))
+        _, observation = make_env(num_jobs=3, seed=0)
+        with PolicyClient(*server.address) as first, PolicyClient(*server.address) as second:
+            first.hello(session_id="first", num_executors=8)
+            expected = first.decide(observation)
+            second.hello(session_id="second", num_executors=8)
+            # A delta against state this session never received.
+            borrowed = WireState()
+            borrowed.jobs = dict(first._wire.jobs)
+            with pytest.raises(ProtocolError) as excinfo:
+                second.request({
+                    "type": "decide",
+                    "session_id": "second",
+                    "observation": encode_observation(observation, borrowed),
+                })
+            assert excinfo.value.code == "resync_required"
+            # The client answers resync_required with one full snapshot.
+            second._wire.jobs = dict(first._wire.jobs)
+            reply = second.decide(observation)
+            assert second.num_resyncs == 1
+            assert [reply[k] for k in ("job_id", "node_id", "parallelism_limit")] == [
+                expected[k] for k in ("job_id", "node_id", "parallelism_limit")
+            ]
+            samples = first.metrics()["metrics"]["error_frames_total"]["samples"]
+        assert samples == [{"labels": {"code": "resync_required"}, "value": 2.0}]
+
+    def test_protocol_3_client_is_served_full_snapshots(self, server_factory):
+        server = server_factory(small_agent(8))
+        env_v3, observation_v3 = make_env(num_jobs=3, seed=1)
+        env_v4, observation_v4 = make_env(num_jobs=3, seed=1)
+        with PolicyClient(*server.address) as legacy, PolicyClient(*server.address) as current:
+            welcome = legacy.request(
+                {"type": "hello", "protocol": 3, "session_id": "v3", "num_executors": 8}
+            )
+            assert welcome["protocol"] == 3
+            assert current.hello(session_id="v4", num_executors=8)["protocol"] == 4
+            for _ in range(15):
+                snapshot = encode_observation(observation_v3)
+                assert "job_ids" not in snapshot
+                assert all("digest" not in job for job in snapshot["jobs"])
+                legacy_reply = legacy.request(
+                    {"type": "decide", "session_id": "v3", "observation": snapshot}
+                )
+                current_reply = current.decide(observation_v4)
+                legacy_action = decode_action(legacy_reply, observation_v3)
+                current_action = decode_action(current_reply, observation_v4)
+                assert (
+                    observation_v3.job_dags.index(legacy_action.node.job),
+                    legacy_action.node.node_id,
+                    legacy_action.parallelism_limit,
+                ) == (
+                    observation_v4.job_dags.index(current_action.node.job),
+                    current_action.node.node_id,
+                    current_action.parallelism_limit,
+                )
+                observation_v3, _, done = env_v3.step(legacy_action)
+                observation_v4, _, _ = env_v4.step(current_action)
+                if done:
+                    break
+
+    def test_oversized_frame_gets_frame_too_large(self, server_factory):
+        server = server_factory(small_agent(6))
+        with PolicyClient(*server.address) as client:
+            client.hello(num_executors=6)
+            with pytest.raises(ProtocolError) as excinfo:
+                client.request({
+                    "type": "decide",
+                    "session_id": client.session_id,
+                    "observation": {"padding": "x" * MAX_FRAME_BYTES},
+                })
+            assert excinfo.value.code == "frame_too_large"
+            # The rest of the frame was skipped: the connection still works.
+            _, observation = make_env(num_jobs=1, seed=0, num_executors=6)
+            assert client.decide(observation)["type"] == "action"
+            samples = client.metrics()["metrics"]["error_frames_total"]["samples"]
+        assert samples == [{"labels": {"code": "frame_too_large"}, "value": 1.0}]

@@ -20,13 +20,17 @@ teardown, even when a test body fails.
 
 import pytest
 
+from _helpers import LARGE_NUM_JOBS, play_greedy, tpch_batch
+
 from repro.core import DecimaAgent, DecimaConfig, FeatureConfig
 from repro.service import (
+    MAX_FRAME_BYTES,
     AdaptiveBatchWindow,
     ControlClient,
     PolicyClient,
     ProtocolError,
     ServingFleet,
+    decode_action,
     drive_episode,
     run_load,
     shard_for_session,
@@ -219,6 +223,63 @@ class TestFleetServing:
 
 
 # ------------------------------------------------------------- fault injection
+def serve_large_episode(fleet, max_decisions=None):
+    """A 200-job episode served through the fleet, next to in-process greedy."""
+    reference_agent = tiny_agent()
+    reference = play_greedy(
+        lambda observation: reference_agent.act(observation, greedy=True)[0],
+        tpch_batch(LARGE_NUM_JOBS, seed=3), 6, max_decisions=max_decisions,
+    )
+    with PolicyClient(*fleet.address) as client:
+        client.hello(num_executors=6, seed=0)
+        served = play_greedy(
+            lambda observation: decode_action(client.decide(observation), observation),
+            tpch_batch(LARGE_NUM_JOBS, seed=3), 6, max_decisions=max_decisions,
+        )
+        assert client.protocol == 4
+        assert client.num_resyncs == 0
+    return served, reference
+
+
+class TestRealisticSizes:
+    """Sessions of 200 jobs: a ~200 kB first frame through router and shard."""
+
+    def test_200_job_episode_matches_in_process_greedy(self, fleet):
+        served, reference = serve_large_episode(fleet, max_decisions=100)
+        assert served == reference
+
+    @pytest.mark.slow
+    def test_200_job_episode_completes(self, fleet):
+        served, reference = serve_large_episode(fleet)
+        assert len(served) > 1000
+        assert served == reference
+
+    def test_oversized_frame_gets_frame_too_large(self, fleet):
+        def router_count(control):
+            samples = control.metrics()["router"]["router_error_frames_total"]["samples"]
+            return sum(
+                sample["value"] for sample in samples
+                if sample["labels"] == {"code": "frame_too_large"}
+            )
+
+        with ControlClient(*fleet.control_address) as control:
+            before = router_count(control)
+            with PolicyClient(*fleet.address) as client:
+                client.hello(num_executors=6)
+                with pytest.raises(ProtocolError) as excinfo:
+                    client.request({
+                        "type": "decide",
+                        "session_id": client.session_id,
+                        "observation": {"padding": "x" * MAX_FRAME_BYTES},
+                    })
+                assert excinfo.value.code == "frame_too_large"
+                # The router skipped the frame; the session goes on.
+                env = SchedulingEnvironment(SimulatorConfig(num_executors=6, seed=0))
+                summary = drive_episode(client, env, tiny_jobs(0), seed=0, max_decisions=3)
+                assert summary["decisions"] == 3
+            assert router_count(control) == before + 1
+
+
 class TestFaultInjection:
     """Destructive tests: each gets its own throwaway fleet."""
 
